@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 
+	"mosaic/internal/atomicfile"
 	"mosaic/internal/report"
 )
 
@@ -109,32 +109,7 @@ func appendHistory(path string, row benchRow) error {
 	if err != nil {
 		return err
 	}
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(append(raw, '\n')); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return atomicfile.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
 // checkRegression compares the ledger's last row against the previous one

@@ -2,8 +2,11 @@ package ckpt
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+
+	"mosaic/internal/atomicfile"
 )
 
 // Store is an on-disk checkpoint cache, one MOSCKPT01 file per (key,
@@ -71,44 +74,12 @@ func (st *Store) Load(key string, pos int) (*MachineState, error) {
 	return s, nil
 }
 
-// Save writes one checkpoint file atomically (temp + sync + rename).
+// Save writes one checkpoint file atomically (see internal/atomicfile).
 func Save(path, key string, pos int, s *MachineState) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
+	return atomicfile.Write(path, 0o644, func(w io.Writer) error {
+		_, err := s.Encode(w, key, pos)
 		return err
-	}
-	tmp := f.Name()
-	cleanup := func() {
-		f.Close()
-		os.Remove(tmp)
-	}
-	if _, err := s.Encode(f, key, pos); err != nil {
-		cleanup()
-		return err
-	}
-	// Sync before rename: a crash after the rename must not resurrect an
-	// empty file from an unflushed page cache.
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }
 
 // Load reads one checkpoint file written by Save.

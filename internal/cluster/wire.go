@@ -185,7 +185,7 @@ func validSpan(lo, hi int) error {
 	return nil
 }
 
-// Encode serializes the spec as a MOSSHRD01 payload.
+// Encode serializes the spec as a MOSSHRD02 payload.
 func (s *ShardSpec) Encode() ([]byte, error) {
 	for _, str := range []string{s.Key, s.Job, s.Workload, s.Platform, s.Proto} {
 		if len(str) > maxStrLen {
@@ -215,7 +215,7 @@ func (s *ShardSpec) Encode() ([]byte, error) {
 	return seal(b), nil
 }
 
-// Encode serializes the result as a MOSSHRD01 payload.
+// Encode serializes the result as a MOSSHRD02 payload.
 func (r *ShardResult) Encode() ([]byte, error) {
 	for _, str := range []string{r.Key, r.Job} {
 		if len(str) > maxStrLen {
@@ -321,7 +321,7 @@ func (r *reader) str() (string, error) {
 //mosvet:codecskip reads the seal trailer (end of buffer) before the body, the mirror image of seal's write-last placement
 func open(b []byte, kind byte) (*reader, error) {
 	if len(b) < len(magic)+2+8 {
-		return nil, fmt.Errorf("cluster: payload of %d bytes is shorter than the MOSSHRD01 envelope", len(b))
+		return nil, fmt.Errorf("cluster: payload of %d bytes is shorter than the MOSSHRD02 envelope", len(b))
 	}
 	if string(b[:len(magic)]) != string(magic[:]) {
 		return nil, fmt.Errorf("cluster: bad magic %q (want %q)", b[:len(magic)], magic)
@@ -347,7 +347,7 @@ func (r *reader) done() error {
 	return nil
 }
 
-// DecodeSpec parses a MOSSHRD01 shard-spec payload.
+// DecodeSpec parses a MOSSHRD02 shard-spec payload.
 func DecodeSpec(b []byte) (*ShardSpec, error) {
 	r, err := open(b, kindSpec)
 	if err != nil {
@@ -381,7 +381,7 @@ func DecodeSpec(b []byte) (*ShardSpec, error) {
 	return &s, nil
 }
 
-// DecodeResult parses a MOSSHRD01 shard-result payload.
+// DecodeResult parses a MOSSHRD02 shard-result payload.
 func DecodeResult(b []byte) (*ShardResult, error) {
 	r, err := open(b, kindResult)
 	if err != nil {

@@ -133,8 +133,8 @@ func (b Breakdown) Total() float64 {
 }
 
 // runState is one replay's in-flight model state, kept separate from the
-// Machine so the fused batch kernel (RunBatch) can advance many machines
-// through the same trace block by block.
+// Machine so a Replay can be checkpointed and resumed, and so a batch of
+// machines can advance through the same trace block by block.
 type runState struct {
 	now          float64 // runtime clock, cycles
 	walkCycles   uint64  // the C counter: busy cycles summed per walker
@@ -155,24 +155,24 @@ const rateTau = 30000.0 // EWMA horizon, instructions
 const invRateTau = 1 / rateTau
 
 // Run replays the trace and returns the resulting performance counters.
-// It errors if any access touches unmapped memory.
+// It errors if any access touches unmapped memory. The counters are the
+// run's own: a machine replayed again without Reset reports only the
+// second run's events, not the components' running totals.
 func (m *Machine) Run(tr *trace.Trace) (pmu.Counters, error) {
-	ctr, _, err := m.runTrace(tr)
+	ctr, _, err := m.RunDetailed(tr)
 	return ctr, err
 }
 
 // RunDetailed is Run plus the runtime breakdown.
 func (m *Machine) RunDetailed(tr *trace.Trace) (pmu.Counters, Breakdown, error) {
-	return m.runTrace(tr)
-}
-
-func (m *Machine) runTrace(tr *trace.Trace) (pmu.Counters, Breakdown, error) {
-	var st runState
-	cols := tr.Columns()
-	if err := m.replayRange(tr.Name, &st, cols, 0, cols.Len()); err != nil {
+	r := m.Start(tr)
+	r.Open()
+	err := r.Measure(0, tr.Len())
+	r.Close()
+	if err != nil {
 		return pmu.Counters{}, Breakdown{}, err
 	}
-	return m.counters(&st), st.bd, nil
+	return r.Counters(), r.st.bd, nil
 }
 
 // FaultError reports an access or page-walk fault during replay: the trace
@@ -191,135 +191,6 @@ func (e *FaultError) Error() string {
 		return fmt.Sprintf("cpu: %s: walk faults at %#x", e.Trace, e.VA)
 	}
 	return fmt.Sprintf("cpu: %s: access %d faults at %#x", e.Trace, e.Index, e.VA)
-}
-
-// FuseBlock is the number of accesses a fused batch replays per machine
-// before advancing to the next machine: large enough to amortize the
-// per-machine switch, small enough that the block's trace columns (~50KB)
-// stay cache-resident while every machine in the batch streams them.
-const FuseBlock = 262144
-
-// statSnap captures the cumulative component counters a replay cannot
-// accumulate in its own loop (the walker's cache loads happen inside
-// walker.Walk). A sampled replay snapshots them at every measurement-window
-// boundary and attributes the difference to the window.
-type statSnap struct {
-	tlb  tlb.Counts
-	hier cache.Stats
-}
-
-func (m *Machine) snapStats() statSnap {
-	return statSnap{tlb: m.tlb.Counts(), hier: m.hier.Stats()}
-}
-
-// sampleSums accumulates the component-stat deltas of a sampled replay's
-// measurement windows: warmup and skipped accesses contribute nothing here,
-// which is exactly what makes windowed counters extrapolatable.
-type sampleSums struct {
-	tlb  tlb.Counts
-	hier cache.Stats
-}
-
-func (s *sampleSums) accumulate(from, to statSnap) {
-	s.tlb = s.tlb.Add(to.tlb.Sub(from.tlb))
-	s.hier = s.hier.Add(to.hier.Sub(from.hier))
-}
-
-// RunSampled replays the trace under a systematic-sampling plan: accesses
-// in measurement windows replay through the full timing model, warmup
-// windows advance model state functionally (warmRange), and everything else
-// is skipped. The returned counters cover only the measured windows —
-// extrapolating them to whole-trace estimates is the caller's job (see
-// internal/sim) — along with the first window's share of those counters
-// (the prologue stratum) and the number of measured accesses.
-//
-// A disabled plan, or one whose windows cover the whole trace, produces
-// counters bit-identical to Run.
-func (m *Machine) RunSampled(tr *trace.Trace, plan trace.SamplePlan) (ctrs, prologue pmu.Counters, measured uint64, err error) {
-	cs, pros, measured, err := RunBatch([]*Machine{m}, tr, plan)
-	if err != nil {
-		return pmu.Counters{}, pmu.Counters{}, 0, err
-	}
-	if pros != nil {
-		prologue = pros[0]
-	}
-	return cs[0], prologue, measured, nil
-}
-
-// RunBatch replays one trace through several machines — one per layout of
-// a sweep's protocol — in a single fused pass over the trace: each block of
-// accesses is decoded once and replayed through every machine before the
-// next block is touched, so the trace's memory bandwidth and decode cost
-// are amortized across the whole batch. All machines must share a platform
-// family but may (and normally do) sit on different address spaces.
-//
-// The plan selects the fidelity schedule: a disabled plan replays every
-// access (exact mode); an enabled one replays only its windows, so every
-// machine of the batch measures the same accesses and fusion composes with
-// sampling. The returned measured count is the number of accesses replayed
-// inside measurement windows (the trace length in exact mode), and prologue
-// holds each machine's counters as of the end of the first measurement
-// window — the exactly-measured prologue stratum the caller's stratified
-// extrapolation subtracts out (nil in exact mode).
-//
-// Counters are bit-identical to running each machine over the whole trace
-// alone under the same plan: machines share no mutable state, and fusion
-// only re-orders which machine touches which trace block first.
-//
-//mosvet:hotpath
-func RunBatch(ms []*Machine, tr *trace.Trace, plan trace.SamplePlan) (ctrs, prologue []pmu.Counters, measured uint64, err error) {
-	cols := tr.Columns()
-	states := make([]runState, len(ms))
-	sampled := plan.Enabled()
-	var sums []sampleSums
-	var bases []statSnap
-	var pro []pmu.Counters
-	if sampled {
-		sums = make([]sampleSums, len(ms))
-		bases = make([]statSnap, len(ms))
-	}
-	for _, w := range cols.Windows(plan) {
-		if w.Measure {
-			measured += uint64(w.Len())
-		}
-		for lo := w.Lo; lo < w.Hi; lo += FuseBlock {
-			hi := min(lo+FuseBlock, w.Hi)
-			for k, m := range ms {
-				if !w.Measure {
-					if err := m.warmRange(tr.Name, &states[k], cols, lo, hi); err != nil {
-						return nil, nil, 0, err
-					}
-					continue
-				}
-				if sampled && lo == w.Lo {
-					bases[k] = m.snapStats()
-				}
-				if err := m.replayRange(tr.Name, &states[k], cols, lo, hi); err != nil {
-					return nil, nil, 0, err
-				}
-				if sampled && hi == w.Hi {
-					sums[k].accumulate(bases[k], m.snapStats())
-				}
-			}
-		}
-		if sampled && w.Measure && pro == nil {
-			// First measurement window just finished: snapshot the prologue
-			// stratum before any periodic window contributes.
-			pro = make([]pmu.Counters, len(ms))
-			for k, m := range ms {
-				pro[k] = m.sampledCounters(&states[k], &sums[k])
-			}
-		}
-	}
-	out := make([]pmu.Counters, len(ms))
-	for k, m := range ms {
-		if sampled {
-			out[k] = m.sampledCounters(&states[k], &sums[k])
-		} else {
-			out[k] = m.counters(&states[k])
-		}
-	}
-	return out, pro, measured, nil
 }
 
 // replayRange advances one replay's state through accesses [lo, hi).
@@ -451,49 +322,4 @@ func (m *Machine) warmRange(name string, st *runState, cols *trace.Columns, lo, 
 		m.hier.Access(phys, false)
 	}
 	return nil
-}
-
-// counters harvests the machine's component statistics into the PMU view.
-func (m *Machine) counters(st *runState) pmu.Counters {
-	ts := m.tlb.Stats()
-	cs := m.hier.Stats()
-	return pmu.Counters{
-		R:                uint64(st.now),
-		H:                ts.L2Hits,
-		M:                ts.Misses,
-		C:                st.walkCycles,
-		Instructions:     st.instructions,
-		L1DLoadsProgram:  cs.L1Loads.Program,
-		L1DLoadsWalker:   cs.L1Loads.Walker,
-		L2LoadsProgram:   cs.L2Loads.Program,
-		L2LoadsWalker:    cs.L2Loads.Walker,
-		L3LoadsProgram:   cs.L3Loads.Program,
-		L3LoadsWalker:    cs.L3Loads.Walker,
-		DRAMLoadsProgram: cs.DRAMLoads.Program,
-		DRAMLoadsWalker:  cs.DRAMLoads.Walker,
-		TLBLookups:       ts.Lookups,
-	}
-}
-
-// sampledCounters is counters for a sampled replay: component statistics
-// come from the accumulated measurement-window deltas instead of the live
-// (warmup-contaminated) component counters. The run-state counters need no
-// differencing — they only ever advance inside measurement windows.
-func (m *Machine) sampledCounters(st *runState, sums *sampleSums) pmu.Counters {
-	return pmu.Counters{
-		R:                uint64(st.now),
-		H:                sums.tlb.L2Hits,
-		M:                sums.tlb.Misses,
-		C:                st.walkCycles,
-		Instructions:     st.instructions,
-		L1DLoadsProgram:  sums.hier.L1Loads.Program,
-		L1DLoadsWalker:   sums.hier.L1Loads.Walker,
-		L2LoadsProgram:   sums.hier.L2Loads.Program,
-		L2LoadsWalker:    sums.hier.L2Loads.Walker,
-		L3LoadsProgram:   sums.hier.L3Loads.Program,
-		L3LoadsWalker:    sums.hier.L3Loads.Walker,
-		DRAMLoadsProgram: sums.hier.DRAMLoads.Program,
-		DRAMLoadsWalker:  sums.hier.DRAMLoads.Walker,
-		TLBLookups:       sums.tlb.Lookups,
-	}
 }

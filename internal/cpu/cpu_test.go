@@ -124,6 +124,50 @@ func TestCountersConsistent(t *testing.T) {
 	}
 }
 
+// TestRunReportsOwnCounts: a second Run on the same machine without Reset
+// reports that run's own events — H, M, lookups and cache loads equal the
+// components' stat deltas across the run, consistent with the run's own R
+// and instruction count — not the totals accumulated over both runs.
+func TestRunReportsOwnCounts(t *testing.T) {
+	size := uint64(16 << 20)
+	tr := randomTrace(3, testRegion, size, 10000, 10, false)
+	machine, err := New(arch.Haswell, buildSpace(t, testRegion, size, mem.Page4K))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := machine.Run(tr); err != nil {
+		t.Fatal(err)
+	}
+	tlb0, hier0 := machine.TLB().Counts(), machine.Hierarchy().Stats()
+	second, err := machine.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dt := machine.TLB().Counts().Sub(tlb0)
+	dh := machine.Hierarchy().Stats().Sub(hier0)
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"H", second.H, dt.L2Hits},
+		{"M", second.M, dt.Misses},
+		{"TLBLookups", second.TLBLookups, dt.Lookups},
+		{"L1DLoadsProgram", second.L1DLoadsProgram, dh.L1Loads.Program},
+		{"L1DLoadsWalker", second.L1DLoadsWalker, dh.L1Loads.Walker},
+		{"L2LoadsWalker", second.L2LoadsWalker, dh.L2Loads.Walker},
+		{"DRAMLoadsProgram", second.DRAMLoadsProgram, dh.DRAMLoads.Program},
+		{"TLBLookups (trace length)", second.TLBLookups, uint64(tr.Len())},
+		{"Instructions", second.Instructions, tr.Instructions()},
+	} {
+		if c.got != c.want {
+			t.Errorf("second run %s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	if second.R == 0 || second.M > second.TLBLookups {
+		t.Errorf("second run counters inconsistent: %+v", second)
+	}
+}
+
 // Two-walker Broadwell with dense independent misses: walk cycles exceed
 // runtime — the mechanism that makes Basu's β negative (§VI-D).
 func TestWalkCyclesCanExceedRuntimeOnBroadwell(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"mosaic/internal/arch"
+	"mosaic/internal/atomicfile"
 	"mosaic/internal/ckpt"
 	"mosaic/internal/layout"
 	"mosaic/internal/libc"
@@ -280,44 +281,7 @@ func (r *Runner) saveCached(wd *WorkloadData) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(targetFile, raw, 0o644)
-}
-
-// writeFileAtomic writes data via a same-directory temp file + rename, so
-// an interrupted run never leaves a truncated cache sidecar for a later
-// session to trip over (Trace.Save gives the trace file the same
-// guarantee).
-func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, perm); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return atomicfile.WriteFile(targetFile, raw, 0o644)
 }
 
 // buildSpace runs the address-space stage for one layout: a modelled
@@ -363,12 +327,7 @@ func (r *Runner) replayBatch(wd *WorkloadData, plat arch.Platform, lays []layout
 	var results []sim.Result
 	err := r.timing.Time(sim.StageReplay, func() error {
 		var err error
-		if r.Windows > 1 {
-			results, err = sim.RunBatchWindowed(engines, wd.Trace, s,
-				r.windowed(r.checkpointKeys(wd, plat, lays, "full", s)))
-		} else {
-			results, err = sim.RunBatch(engines, wd.Trace, s)
-		}
+		results, err = sim.RunBatchWindowed(engines, wd.Trace, s, r.windowed(wd, plat, lays, "full", s))
 		return err
 	})
 	if err != nil {
@@ -386,34 +345,29 @@ func (r *Runner) replayBatch(wd *WorkloadData, plat arch.Platform, lays []layout
 	return results, nil
 }
 
-// checkpointKeys derives one checkpoint-stream key per engine of a replay
-// batch. A key encodes everything the cumulative machine state depends on —
-// trace identity, platform, layout configuration, engine kind and fidelity,
-// and the sampling plan — and deliberately excludes the window count and
-// position, so checkpoints are shared across -windows values.
-func (r *Runner) checkpointKeys(wd *WorkloadData, plat arch.Platform, lays []layout.Layout, kind string, s sim.Sampling) []string {
-	plan := s.Key()
-	keys := make([]string, len(lays))
-	for i, lay := range lays {
-		keys[i] = fmt.Sprintf("%s|%d|%s|%s|%s|%s",
-			wd.Trace.Name, wd.Trace.Len(), plat.Name, sim.SpaceKey(lay.Cfg), kind, plan)
-	}
-	return keys
-}
-
 // windowed assembles the sim.Windowed config for one replay batch. The
 // checkpoint store is only wired for exact mode — warmup-reconstructed
-// replay is checkpoint-free by design.
-func (r *Runner) windowed(keys []string) sim.Windowed {
+// replay is checkpoint-free by design — with one checkpoint-stream key per
+// engine. A key encodes everything the cumulative machine state depends on
+// — trace identity, platform, layout configuration, engine kind and
+// fidelity, the sampling plan, and the accounting generation ("wd": state
+// carries window-delta sums even under exact replay, which older exact
+// checkpoints lack) — and deliberately excludes the window count and
+// position, so checkpoints are shared across -windows values.
+func (r *Runner) windowed(wd *WorkloadData, plat arch.Platform, lays []layout.Layout, kind string, s sim.Sampling) sim.Windowed {
 	w := sim.Windowed{
 		K:       r.Windows,
 		Warm:    r.WindowWarm,
 		Pool:    &r.engines,
 		Workers: r.Windows,
 	}
-	if !r.WindowWarm && r.CheckpointDir != "" {
+	if w.Enabled() && !r.WindowWarm && r.CheckpointDir != "" {
 		w.Store = &ckpt.Store{Dir: r.CheckpointDir}
-		w.Keys = keys
+		w.Keys = make([]string, len(lays))
+		for i, lay := range lays {
+			w.Keys[i] = fmt.Sprintf("%s|%d|%s|%s|%s|%s|wd",
+				wd.Trace.Name, wd.Trace.Len(), plat.Name, sim.SpaceKey(lay.Cfg), kind, s.Key())
+		}
 	}
 	return w
 }
@@ -447,23 +401,17 @@ func (r *Runner) PartialSimulate(wd *WorkloadData, plat arch.Platform, lay layou
 	if err != nil {
 		return partialsim.Metrics{}, err
 	}
-	eng.HighFidelity = highFidelity
+	eng.Simulator().SimulateProgramCache = highFidelity
+	kind := "partial"
+	if highFidelity {
+		kind = "partial-hifi"
+	}
 	var res sim.Result
 	err = r.timing.Time(sim.StageReplay, func() error {
-		var err error
-		if r.Windows > 1 {
-			kind := "partial"
-			if highFidelity {
-				kind = "partial-hifi"
-			}
-			var rs []sim.Result
-			rs, err = sim.RunBatchWindowed([]sim.Engine{eng}, wd.Trace, r.Sampling,
-				r.windowed(r.checkpointKeys(wd, plat, []layout.Layout{lay}, kind, r.Sampling)))
-			if err == nil {
-				res = rs[0]
-			}
-		} else {
-			res, err = eng.RunSampled(wd.Trace, r.Sampling)
+		rs, err := sim.RunBatchWindowed([]sim.Engine{eng}, wd.Trace, r.Sampling,
+			r.windowed(wd, plat, []layout.Layout{lay}, kind, r.Sampling))
+		if err == nil {
+			res = rs[0]
 		}
 		return err
 	})

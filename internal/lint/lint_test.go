@@ -416,6 +416,49 @@ func ok(mu *sync.Mutex, path string) {
 	}
 }
 
+// TestLockIOAtomicWrite: the atomic-write helper is in the blocking-call
+// table, so moving a write behind it does not hide the I/O from lockio.
+func TestLockIOAtomicWrite(t *testing.T) {
+	findings, err := AnalyzeSourcePackages(map[string]map[string]string{
+		"internal/atomicfile": {"atomicfile.go": `package atomicfile
+import "os"
+func WriteFile(path string, data []byte, perm os.FileMode) error {
+	return os.WriteFile(path, data, perm)
+}
+`},
+		"internal/serve/registry": {"reg.go": `package registry
+import (
+	"sync"
+
+	"synthetic/internal/atomicfile"
+)
+type r struct{ mu sync.Mutex }
+func (x *r) bad(path string, raw []byte) error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return atomicfile.WriteFile(path, raw, 0o644)
+}
+func (x *r) good(path string, raw []byte) error {
+	x.mu.Lock()
+	x.mu.Unlock()
+	return atomicfile.WriteFile(path, raw, 0o644)
+}
+`},
+	}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Finding
+	for _, f := range findings {
+		if f.Check == "lockio" {
+			got = append(got, f)
+		}
+	}
+	if len(got) != 1 || got[0].Pos.Line != 11 || !strings.Contains(got[0].Message, "atomicfile.WriteFile") {
+		t.Errorf("lockio findings %+v, want one at line 11 naming atomicfile.WriteFile", got)
+	}
+}
+
 func TestHotPath(t *testing.T) {
 	cases := []struct {
 		name string

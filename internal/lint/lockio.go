@@ -222,6 +222,14 @@ var ioBlocking = map[string]bool{
 	"ReadFull": true, "WriteString": true,
 }
 
+// moduleBlocking are the module's own packages whose package-level
+// functions do blocking file I/O, by module-relative path, with the name
+// findings use. Listing them keeps a lock held across a helper from hiding
+// the os calls inside it.
+var moduleBlocking = []struct{ path, desc string }{
+	{"internal/atomicfile", "atomic file write"},
+}
+
 // blockingCall classifies a call as blocking and names it, or returns "".
 func blockingCall(info *types.Info, call *ast.CallExpr) string {
 	fn := calleeFunc(info, call)
@@ -229,6 +237,11 @@ func blockingCall(info *types.Info, call *ast.CallExpr) string {
 		return ""
 	}
 	pkg, name := funcPkgPath(fn), fn.Name()
+	for _, mb := range moduleBlocking {
+		if isPkgLevelFunc(fn) && pathSuffixIn(pkg, []string{mb.path}) {
+			return mb.desc + " (" + fn.Pkg().Name() + "." + name + ")"
+		}
+	}
 	switch pkg {
 	case "os":
 		if isPkgLevelFunc(fn) {

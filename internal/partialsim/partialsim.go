@@ -30,7 +30,6 @@ import (
 
 	"mosaic/internal/arch"
 	"mosaic/internal/cache"
-	"mosaic/internal/cpu"
 	"mosaic/internal/mem"
 	"mosaic/internal/tlb"
 	"mosaic/internal/trace"
@@ -123,74 +122,11 @@ func (s *Simulator) Reset(plat arch.Platform, space *mem.AddressSpace) error {
 // Run replays the trace through the virtual-memory subsystem and returns
 // the metrics. It errors if an access touches unmapped memory.
 func (s *Simulator) Run(tr *trace.Trace) (Metrics, error) {
-	var m Metrics
-	cols := tr.Columns()
-	if err := s.replayRange(&m, cols, 0, cols.Len()); err != nil {
+	r := s.Start(tr)
+	if err := r.Measure(0, tr.Len()); err != nil {
 		return Metrics{}, err
 	}
-	return m, nil
-}
-
-// RunSampled replays the trace under a systematic-sampling plan: accesses
-// in measurement windows accumulate metrics, warmup windows advance the
-// TLB/PWC/cache state without touching the metrics (warmRange), and
-// everything else is skipped. The returned metrics cover only the measured
-// windows — extrapolation is the caller's job (see internal/sim) — along
-// with the first window's share of them (the prologue stratum) and the
-// number of measured accesses. A disabled plan, or one whose windows cover
-// the whole trace, is bit-identical to Run.
-func (s *Simulator) RunSampled(tr *trace.Trace, plan trace.SamplePlan) (metrics, prologue Metrics, measured uint64, err error) {
-	ms, pros, measured, err := RunBatch([]*Simulator{s}, tr, plan)
-	if err != nil {
-		return Metrics{}, Metrics{}, 0, err
-	}
-	if pros != nil {
-		prologue = pros[0]
-	}
-	return ms[0], prologue, measured, nil
-}
-
-// RunBatch replays one trace through several simulators in a single fused
-// pass over the trace blocks, mirroring cpu.RunBatch: each block of
-// accesses is streamed through every simulator before the next block, so
-// the trace columns stay cache-resident across the whole batch. The plan
-// selects the fidelity schedule (a disabled plan replays every access);
-// measured counts accesses inside measurement windows, and prologue holds
-// each simulator's metrics as of the end of the first measurement window —
-// the exactly-measured prologue stratum (nil in exact mode). Metrics are
-// bit-identical to running each simulator alone under the same plan —
-// simulators share no mutable state and each sees the same windows in
-// order, whatever mix of SimulateProgramCache settings the batch carries.
-//
-//mosvet:hotpath
-func RunBatch(ss []*Simulator, tr *trace.Trace, plan trace.SamplePlan) (metrics, prologue []Metrics, measured uint64, err error) {
-	cols := tr.Columns()
-	out := make([]Metrics, len(ss))
-	var pro []Metrics
-	sampled := plan.Enabled()
-	for _, w := range cols.Windows(plan) {
-		if w.Measure {
-			measured += uint64(w.Len())
-		}
-		for lo := w.Lo; lo < w.Hi; lo += cpu.FuseBlock {
-			hi := min(lo+cpu.FuseBlock, w.Hi)
-			for k, s := range ss {
-				var err error
-				if w.Measure {
-					err = s.replayRange(&out[k], cols, lo, hi)
-				} else {
-					err = s.warmRange(cols, lo, hi)
-				}
-				if err != nil {
-					return nil, nil, 0, err
-				}
-			}
-		}
-		if sampled && w.Measure && pro == nil {
-			pro = append([]Metrics(nil), out...)
-		}
-	}
-	return out, pro, measured, nil
+	return r.Metrics(), nil
 }
 
 // FaultError reports an access or page-walk fault during replay. It is

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"mosaic/internal/atomicfile"
 	"mosaic/internal/experiment"
 	"mosaic/internal/models"
 	"mosaic/internal/pmu"
@@ -236,7 +237,7 @@ func (r *Registry) persist(pair *Pair) (string, []byte, error) {
 		return "", nil, err
 	}
 	path := r.pairPath(pair.Workload, pair.Platform)
-	if err := writeFileAtomic(path, raw, 0o644); err != nil {
+	if err := atomicfile.WriteFile(path, raw, 0o644); err != nil {
 		return "", nil, err
 	}
 	return path, raw, nil
@@ -561,41 +562,6 @@ func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.pairs)
-}
-
-// writeFileAtomic writes via a same-directory temp file + rename so a
-// crashed daemon never leaves a truncated registry file.
-func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, perm); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // fnv1aBytes hashes file content with 64-bit FNV-1a.

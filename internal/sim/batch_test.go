@@ -94,7 +94,7 @@ func TestPartialBatchMatchesUnfused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.HighFidelity = fidelities[i]
+			eng.Simulator().SimulateProgramCache = fidelities[i]
 			if want[i], err = eng.Run(tr); err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestPartialBatchMatchesUnfused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.HighFidelity = fidelities[i]
+			eng.Simulator().SimulateProgramCache = fidelities[i]
 			engines[i] = eng
 		}
 		got, err := RunBatch(engines, tr, Sampling{})

@@ -24,6 +24,7 @@ package sim
 
 import (
 	"mosaic/internal/arch"
+	"mosaic/internal/ckpt"
 	"mosaic/internal/cpu"
 	"mosaic/internal/mem"
 	"mosaic/internal/partialsim"
@@ -74,6 +75,8 @@ func (r Result) Equal(o Result) bool {
 
 // Engine is one reusable simulator: the full timing machine or the partial
 // simulator, re-targetable at a platform and address space between runs.
+// The interface is sealed — every replay entry point drives engines through
+// the unexported run contract, which only this package's engines implement.
 type Engine interface {
 	// Platform returns the platform the engine currently models.
 	Platform() arch.Platform
@@ -86,6 +89,46 @@ type Engine interface {
 	// windowed counters to whole-trace estimates. A disabled config is
 	// bit-identical to Run.
 	RunSampled(tr *trace.Trace, s Sampling) (Result, error)
+
+	// start opens a run of tr on the engine, restored from seed when it is
+	// non-nil.
+	start(tr *trace.Trace, seed *ckpt.MachineState) (run, error)
+	// clone acquires a worker-private engine with the same platform,
+	// address space and fidelity, from pool when it is non-nil.
+	clone(pool *Pool) (Engine, error)
+}
+
+// run is the per-engine run contract the window-schedule driver advances
+// (see drive): Measure replays an access range through the full model,
+// Warm advances model state through one without counting, Open and Close
+// bracket every measured range, Snapshot checkpoints the run, and harvest
+// returns its cumulative Result. cpu.Replay and partialsim.Replay supply
+// everything but harvest; the adapters below lift their tallies into a
+// Result.
+type run interface {
+	Measure(lo, hi int) error
+	Warm(lo, hi int) error
+	Open()
+	Close()
+	Snapshot() *ckpt.MachineState
+	harvest() Result
+}
+
+type fullRun struct{ *cpu.Replay }
+
+func (r fullRun) harvest() Result { return Result{Counters: r.Counters()} }
+
+type partialRun struct{ *partialsim.Replay }
+
+func (r partialRun) harvest() Result { return metricsResult(r.Metrics()) }
+
+// runOne is Engine.RunSampled for every engine: a batch of one.
+func runOne(e Engine, tr *trace.Trace, s Sampling) (Result, error) {
+	rs, err := RunBatch([]Engine{e}, tr, s)
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
 }
 
 // Full wraps the full timing machine (internal/cpu) as an Engine.
@@ -113,40 +156,36 @@ func (f *Full) Reset(plat arch.Platform, space *mem.AddressSpace) error {
 	return f.m.Reset(plat, space)
 }
 
-// Run implements Engine. A multi-phase trace routes through the phased
-// runner so the result carries per-phase attribution.
-func (f *Full) Run(tr *trace.Trace) (Result, error) {
-	if tr.Phases() != nil {
-		return onePhased(f, tr, Sampling{})
-	}
-	ctr, err := f.m.Run(tr)
-	return Result{Counters: ctr}, err
-}
+// Run implements Engine. A multi-phase trace's result carries per-phase
+// attribution.
+func (f *Full) Run(tr *trace.Trace) (Result, error) { return runOne(f, tr, Sampling{}) }
 
 // RunSampled implements Engine.
-func (f *Full) RunSampled(tr *trace.Trace, s Sampling) (Result, error) {
-	if tr.Phases() != nil {
-		return onePhased(f, tr, s)
+func (f *Full) RunSampled(tr *trace.Trace, s Sampling) (Result, error) { return runOne(f, tr, s) }
+
+func (f *Full) start(tr *trace.Trace, seed *ckpt.MachineState) (run, error) {
+	r := f.m.Start(tr)
+	if seed != nil {
+		if err := r.Restore(seed); err != nil {
+			return nil, err
+		}
 	}
-	if !s.Enabled() {
-		return f.Run(tr)
+	return fullRun{r}, nil
+}
+
+func (f *Full) clone(pool *Pool) (Engine, error) {
+	if pool == nil {
+		return NewFull(f.Platform(), f.m.Space())
 	}
-	ctr, pro, measured, err := f.m.RunSampled(tr, s.Plan())
-	if err != nil {
-		return Result{}, err
-	}
-	proMeasured := uint64(s.Plan().PrologueMeasured(tr.Len()))
-	return s.extrapolate(Result{Counters: ctr}, Result{Counters: pro},
-		proMeasured, measured, uint64(tr.Len())), nil
+	return pool.Full(f.Platform(), f.m.Space())
 }
 
 // Partial wraps the partial simulator (internal/partialsim) as an Engine.
+// Its one fidelity knob is the wrapped simulator's SimulateProgramCache
+// (the paper's §VII-D "perfectly accurate partial simulator"), which Reset
+// clears.
 type Partial struct {
 	s *partialsim.Simulator
-	// HighFidelity streams program data accesses through the cache model so
-	// the walk-cycle count C matches the full machine exactly — the paper's
-	// §VII-D "perfectly accurate partial simulator".
-	HighFidelity bool
 }
 
 // NewPartial builds a partial-simulator engine.
@@ -158,49 +197,49 @@ func NewPartial(plat arch.Platform, space *mem.AddressSpace) (*Partial, error) {
 	return &Partial{s: s}, nil
 }
 
-// Simulator exposes the wrapped partial simulator (for tests).
+// Simulator exposes the wrapped partial simulator (for the fidelity knob
+// and tests).
 func (p *Partial) Simulator() *partialsim.Simulator { return p.s }
 
 // Platform implements Engine.
 func (p *Partial) Platform() arch.Platform { return p.s.Platform() }
 
-// Reset implements Engine. HighFidelity is cleared, matching a fresh
-// simulator; callers set it again before Run as needed.
+// Reset implements Engine. SimulateProgramCache is cleared, matching a
+// fresh simulator; callers set it again before Run as needed.
 func (p *Partial) Reset(plat arch.Platform, space *mem.AddressSpace) error {
-	p.HighFidelity = false
 	return p.s.Reset(plat, space)
 }
 
-// Run implements Engine. A multi-phase trace routes through the phased
-// runner so the result carries per-phase attribution.
-func (p *Partial) Run(tr *trace.Trace) (Result, error) {
-	if tr.Phases() != nil {
-		return onePhased(p, tr, Sampling{})
-	}
-	p.s.SimulateProgramCache = p.HighFidelity
-	m, err := p.s.Run(tr)
-	if err != nil {
-		return Result{}, err
-	}
-	return metricsResult(m), nil
-}
+// Run implements Engine. A multi-phase trace's result carries per-phase
+// attribution.
+func (p *Partial) Run(tr *trace.Trace) (Result, error) { return runOne(p, tr, Sampling{}) }
 
 // RunSampled implements Engine.
-func (p *Partial) RunSampled(tr *trace.Trace, s Sampling) (Result, error) {
-	if tr.Phases() != nil {
-		return onePhased(p, tr, s)
+func (p *Partial) RunSampled(tr *trace.Trace, s Sampling) (Result, error) { return runOne(p, tr, s) }
+
+func (p *Partial) start(tr *trace.Trace, seed *ckpt.MachineState) (run, error) {
+	r := p.s.Start(tr)
+	if seed != nil {
+		if err := r.Restore(seed); err != nil {
+			return nil, err
+		}
 	}
-	if !s.Enabled() {
-		return p.Run(tr)
+	return partialRun{r}, nil
+}
+
+func (p *Partial) clone(pool *Pool) (Engine, error) {
+	var cp *Partial
+	var err error
+	if pool == nil {
+		cp, err = NewPartial(p.Platform(), p.s.Space())
+	} else {
+		cp, err = pool.Partial(p.Platform(), p.s.Space())
 	}
-	p.s.SimulateProgramCache = p.HighFidelity
-	m, pro, measured, err := p.s.RunSampled(tr, s.Plan())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	proMeasured := uint64(s.Plan().PrologueMeasured(tr.Len()))
-	return s.extrapolate(metricsResult(m), metricsResult(pro),
-		proMeasured, measured, uint64(tr.Len())), nil
+	cp.s.SimulateProgramCache = p.s.SimulateProgramCache
+	return cp, nil
 }
 
 // metricsResult lifts the partial simulator's metrics into the unified

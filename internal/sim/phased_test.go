@@ -295,3 +295,73 @@ func TestPhasedWindowedGolden(t *testing.T) {
 		t.Error("warm windowed result lost its counters")
 	}
 }
+
+// mixedEngines builds one full, one partial and one high-fidelity partial
+// engine over the given spaces.
+func mixedEngines(t *testing.T, spaces []*mem.AddressSpace) []Engine {
+	t.Helper()
+	return []Engine{
+		sampledTestEngines(t, "full", spaces[0:1])[0],
+		sampledTestEngines(t, "partial", spaces[1:2])[0],
+		sampledTestEngines(t, "partial-hifi", spaces[2:3])[0],
+	}
+}
+
+// TestMixedKindPhasedBatch: a batch mixing engine kinds replays in one pass
+// of the driver on a phased trace, whatever the loop order or windowing,
+// and every engine's result — phase rows included — equals its own solo
+// RunSampled.
+func TestMixedKindPhasedBatch(t *testing.T) {
+	size := uint64(64 << 20)
+	spaces := batchTestSpaces(t, size)[:3]
+	tr := phasedSimTrace(37, size, 300000)
+	sampled := Sampling{Period: 16384, MeasureLen: 1024, WarmupLen: 2048, PrologueLen: 8192}
+
+	solo := func(s Sampling) []Result {
+		out := make([]Result, len(spaces))
+		for i, e := range mixedEngines(t, spaces) {
+			var err error
+			if out[i], err = e.RunSampled(tr, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	check := func(route string, got, want []Result) {
+		t.Helper()
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Errorf("%s engine %d: %+v, solo %+v", route, i, got[i], want[i])
+			}
+			if len(got[i].Phases) != 3 {
+				t.Errorf("%s engine %d: %d phases, want 3", route, i, len(got[i].Phases))
+			}
+		}
+	}
+
+	want := solo(sampled)
+	got, err := RunBatch(mixedEngines(t, spaces), tr, sampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("default threshold", got, want)
+
+	old := FuseMinBytes
+	FuseMinBytes = 0
+	got, err = RunBatch(mixedEngines(t, spaces), tr, sampled)
+	FuseMinBytes = old
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fused", got, want)
+
+	want = solo(Sampling{})
+	w := Windowed{K: 4, Store: &ckpt.Store{Dir: t.TempDir()}, Keys: windowedKeys(3, "mixed"), Pool: &Pool{}}
+	for _, run := range []string{"cold", "warm"} {
+		got, err := RunBatchWindowed(mixedEngines(t, spaces), tr, Sampling{}, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("windowed K=4 "+run, got, want)
+	}
+}

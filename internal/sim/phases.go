@@ -2,11 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
-	"mosaic/internal/ckpt"
-	"mosaic/internal/cpu"
-	"mosaic/internal/partialsim"
 	"mosaic/internal/pmu"
 	"mosaic/internal/trace"
 )
@@ -16,14 +12,14 @@ import (
 // RunBatchWindowed — attributes counters to each phase and, under sampling,
 // extrapolates within phase boundaries instead of across them.
 //
-// The mechanism is the segment kernels' save positions: RunBatchSegment
-// snapshots every machine at each phase's prologue end and phase end, and
-// because checkpoint state is cumulative, the field-wise difference of
-// consecutive snapshots is exactly the phase's contribution. Replay runs
-// under sampled (window-delta) stat accounting even for exact plans so the
-// snapshots carry the component sums; with full coverage that accounting is
-// bit-identical to exact counters, so an exact phased replay's headline
-// result telescopes to the same counters a phase-blind replay produces.
+// The mechanism is the driver's marks: it records every engine's
+// cumulative Result at each phase's prologue end and phase end, and because
+// the results are cumulative, the field-wise difference of consecutive
+// marks is exactly the phase's contribution. Replay always runs under
+// window-delta accounting; with full coverage that accounting is
+// bit-identical to the components' own counters, so an exact phased
+// replay's headline result telescopes to the same counters a phase-blind
+// replay produces.
 //
 // Under sampling, each phase is its own stratum set: the phased schedule
 // (SamplePlan.PhasedWindows) restarts the plan inside every phase — no
@@ -31,6 +27,7 @@ import (
 // measured prologue — and the estimator scales each phase's windowed
 // counters by that phase's own coverage. A phase transition inside a skip
 // stretch therefore never leaks one regime's rates into another's estimate.
+// A single-regime trace is the one-span case of the same estimator.
 
 // PhaseResult is one phase's share of a replay: whole-phase counter
 // estimates plus the sampled-replay coverage behind them (full coverage
@@ -46,51 +43,78 @@ type PhaseResult struct {
 	TotalAccesses    uint64
 }
 
-// phaseMeta is the positional skeleton of one phase's schedule: the
-// snapshot positions and coverage the per-phase estimator needs. Purely
-// positional, so every engine of a batch shares one meta set.
-type phaseMeta struct {
-	ph trace.Phase
-	// proHi is the end of the phase's first measurement window (the phase
-	// prologue stratum); endHi is the end of the phase's last scheduled
-	// window — the cumulative state there equals the state at the phase
-	// boundary, because skipped accesses accumulate nothing.
+// span is the positional skeleton of one stratum set of a schedule — a
+// phase of a multi-phase trace, or the whole of a single-regime trace: the
+// mark positions and coverage the estimator needs. Purely positional, so
+// every engine of a batch shares one span set.
+type span struct {
+	name string
+	len  int
+	// proHi is the end of the span's first measurement window (its
+	// prologue stratum); endHi is the end of its last scheduled window —
+	// the cumulative state there equals the state at the span's end,
+	// because skipped accesses accumulate nothing.
 	proHi, endHi int
-	// proMeasured and measured count the prologue's and the whole phase's
+	// proMeasured and measured count the prologue's and the whole span's
 	// accesses inside measurement windows.
 	proMeasured, measured uint64
 }
 
-// phasedMeta computes each phase's snapshot positions under the plan's
-// phased schedule, plus the ascending deduplicated position list to pass as
-// the segment kernels' savePos.
-func phasedMeta(plan trace.SamplePlan, phases []trace.Phase, n int) ([]phaseMeta, []int) {
-	sched := plan.PhasedWindows(phases, n)
-	metas := make([]phaseMeta, 0, len(phases))
-	positions := make([]int, 0, 2*len(phases))
-	for _, ph := range phases {
-		ws := trace.PhaseWindows(sched, ph)
-		pm := phaseMeta{ph: ph, endHi: ws[len(ws)-1].Hi}
-		for _, w := range ws {
-			if !w.Measure {
-				continue
-			}
-			pm.measured += uint64(w.Len())
-			if pm.proHi == 0 {
-				pm.proHi = w.Hi
-				pm.proMeasured = uint64(w.Len())
-			}
-		}
-		metas = append(metas, pm)
-		positions = append(positions, pm.proHi, pm.endHi)
+// scheduleOf returns the replay schedule of tr under s — the phased
+// schedule for a multi-phase trace — and its spans.
+func scheduleOf(tr *trace.Trace, s Sampling) ([]trace.Window, []span) {
+	phases := tr.Phases()
+	ws := s.Plan().PhasedWindows(phases, tr.Len())
+	if phases == nil {
+		return ws, []span{spanOf("", tr.Len(), ws)}
 	}
-	slices.Sort(positions)
-	return metas, slices.Compact(positions)
+	spans := make([]span, len(phases))
+	for i, ph := range phases {
+		spans[i] = spanOf(ph.Name, ph.Len(), trace.PhaseWindows(ws, ph))
+	}
+	return ws, spans
+}
+
+func spanOf(name string, n int, ws []trace.Window) span {
+	sp := span{name: name, len: n}
+	for _, w := range ws {
+		sp.endHi = w.Hi
+		if !w.Measure {
+			continue
+		}
+		sp.measured += uint64(w.Len())
+		if sp.proMeasured == 0 {
+			sp.proHi, sp.proMeasured = w.Hi, uint64(w.Len())
+		}
+	}
+	return sp
+}
+
+// spanMarks lists the positions the estimator reads, as driver marks.
+func spanMarks(spans []span) []mark {
+	var marks []mark
+	for _, sp := range spans {
+		marks = addMark(marks, sp.proHi, false)
+		marks = addMark(marks, sp.endHi, false)
+	}
+	return marks
+}
+
+// collect indexes the lanes' recorded results by mark position into at:
+// at[pos][k] is engine k's cumulative result at pos.
+func collect(at map[int][]Result, marks []mark, lanes []lane) {
+	for j, m := range marks {
+		rs := make([]Result, len(lanes))
+		for k := range lanes {
+			rs[k] = lanes[k].marks[j]
+		}
+		at[m.pos] = rs
+	}
 }
 
 // subResult returns a - b field-wise over the extrapolated counter set.
-// Snapshot state is cumulative, so consecutive-snapshot differences are
-// phase contributions and telescope to the whole-trace totals.
+// Recorded results are cumulative, so consecutive-mark differences are
+// span contributions and telescope to the whole-trace totals.
 func subResult(a, b Result) Result {
 	d := counterPtrs(&a)
 	s := counterPtrs(&b)
@@ -100,141 +124,57 @@ func subResult(a, b Result) Result {
 	return a
 }
 
-// phaseLift converts a phase-boundary snapshot into the unified result
-// shape for the given engine kind.
-func phaseLift(e Engine) func(*ckpt.MachineState) Result {
-	if _, ok := e.(*Partial); ok {
-		return func(st *ckpt.MachineState) Result {
-			return metricsResult(partialsim.StateMetrics(st))
-		}
-	}
-	return func(st *ckpt.MachineState) Result {
-		return Result{Counters: cpu.StateCounters(st)}
+// addCounters accumulates src's counters into dst field-wise.
+func addCounters(dst *Result, src Result) {
+	d := counterPtrs(dst)
+	s := counterPtrs(&src)
+	for i := range d {
+		*d[i] += *s[i]
 	}
 }
 
-// assemblePhased turns per-position snapshots into per-engine results with
-// phase attribution: for each phase, the cumulative snapshots at its
-// prologue end and phase end are differenced against the previous phase's
-// end and extrapolated with the phase's own coverage; the headline result
-// is the sum of the per-phase estimates. Under exact replay every phase is
-// fully covered, extrapolation passes through, and the sum telescopes to
-// the exact whole-trace counters bit-identically.
-func assemblePhased(s Sampling, metas []phaseMeta, n, engines int,
-	snaps map[int][]*ckpt.MachineState, lift func(*ckpt.MachineState) Result) ([]Result, error) {
+// assemble turns the cumulative results recorded at the span marks into
+// per-engine results: for each span, the results at its prologue end and
+// its end are differenced against the previous span's end and extrapolated
+// with the span's own coverage; the headline result is the sum of the
+// per-span estimates, with per-phase attribution when the trace has phases.
+// Under exact replay every span is fully covered, extrapolation passes
+// through, and the sum telescopes to the exact whole-trace counters
+// bit-identically.
+func assemble(s Sampling, tr *trace.Trace, spans []span, engines int, at map[int][]Result) ([]Result, error) {
+	phased := tr.Phases() != nil
 	out := make([]Result, engines)
-	for k := 0; k < engines; k++ {
+	for k := range out {
 		var prev, sum Result
-		var measuredSum uint64
-		phs := make([]PhaseResult, 0, len(metas))
-		for _, pm := range metas {
-			endSnaps, proSnaps := snaps[pm.endHi], snaps[pm.proHi]
-			if endSnaps == nil || endSnaps[k] == nil || proSnaps == nil || proSnaps[k] == nil {
-				return nil, fmt.Errorf("sim: phase %q boundary (%d, %d) was not snapshotted",
-					pm.ph.Name, pm.proHi, pm.endHi)
+		var measured uint64
+		var phs []PhaseResult
+		for _, sp := range spans {
+			end, pro := at[sp.endHi], at[sp.proHi]
+			if end == nil || pro == nil {
+				return nil, fmt.Errorf("sim: span %q boundary (%d, %d) was not recorded",
+					sp.name, sp.proHi, sp.endHi)
 			}
-			end := lift(endSnaps[k])
-			pr := s.extrapolate(subResult(end, prev), subResult(lift(proSnaps[k]), prev),
-				pm.proMeasured, pm.measured, uint64(pm.ph.Len()))
-			phs = append(phs, PhaseResult{
-				Name:             pm.ph.Name,
-				Counters:         pr.Counters,
-				WalkRefs:         pr.WalkRefs,
-				MeasuredAccesses: pr.MeasuredAccesses,
-				TotalAccesses:    pr.TotalAccesses,
-			})
+			pr := s.extrapolate(subResult(end[k], prev), subResult(pro[k], prev),
+				sp.proMeasured, sp.measured, uint64(sp.len))
+			if phased {
+				phs = append(phs, PhaseResult{
+					Name:             sp.name,
+					Counters:         pr.Counters,
+					WalkRefs:         pr.WalkRefs,
+					MeasuredAccesses: pr.MeasuredAccesses,
+					TotalAccesses:    pr.TotalAccesses,
+				})
+			}
 			addCounters(&sum, pr)
-			measuredSum += pm.measured
-			prev = end
+			measured += sp.measured
+			prev = end[k]
 		}
 		sum.Phases = phs
 		if s.Enabled() {
-			sum.MeasuredAccesses = measuredSum
-			sum.TotalAccesses = uint64(n)
+			sum.MeasuredAccesses = measured
+			sum.TotalAccesses = uint64(tr.Len())
 		}
 		out[k] = sum
 	}
 	return out, nil
-}
-
-// snapsByPos indexes the segment kernels' saved snapshots by position.
-func snapsByPos(positions []int, saved [][]*ckpt.MachineState) map[int][]*ckpt.MachineState {
-	m := make(map[int][]*ckpt.MachineState, len(positions))
-	for i, pos := range positions {
-		if i < len(saved) {
-			m[pos] = saved[i]
-		}
-	}
-	return m
-}
-
-// onePhased is the single-engine phased entry point behind
-// Engine.Run/RunSampled.
-func onePhased(e Engine, tr *trace.Trace, s Sampling) (Result, error) {
-	rs, err := runPhasedBatch([]Engine{e}, tr, s)
-	if err != nil {
-		return Result{}, err
-	}
-	return rs[0], nil
-}
-
-// runPhasedBatch replays a multi-phase trace through a batch of engines in
-// one fused pass with phase attribution. The fused segment kernel IS the
-// solo kernel (engines share no mutable state), so solo and fused — and by
-// extension single-node and fleet-sharded — phased results are
-// bit-identical by construction.
-func runPhasedBatch(engines []Engine, tr *trace.Trace, s Sampling) ([]Result, error) {
-	fullIdx, partIdx, ok := splitKinds(engines)
-	if !ok {
-		// External Engine implementations can't be driven through the
-		// segment kernels; they replay phase-blind (no Phases attribution).
-		return runSolo(engines, tr, s)
-	}
-	if len(fullIdx) > 0 && len(partIdx) > 0 {
-		out := make([]Result, len(engines))
-		for _, idx := range [][]int{fullIdx, partIdx} {
-			sub := make([]Engine, len(idx))
-			for j, i := range idx {
-				sub[j] = engines[i]
-			}
-			rs, err := runPhasedBatch(sub, tr, s)
-			if err != nil {
-				return nil, err
-			}
-			for j, i := range idx {
-				out[i] = rs[j]
-			}
-		}
-		return out, nil
-	}
-
-	phases := tr.Phases()
-	n := tr.Len()
-	metas, positions := phasedMeta(s.Plan(), phases, n)
-	windows := s.Plan().PhasedWindows(phases, n)
-
-	var saved [][]*ckpt.MachineState
-	var err error
-	if len(partIdx) == 0 {
-		ms := make([]*cpu.Machine, len(engines))
-		for k, e := range engines {
-			ms[k] = e.(*Full).Machine()
-		}
-		// sampled=true even for exact plans: the snapshots need the
-		// window-delta component sums, and with full coverage that
-		// accounting is bit-identical to exact counters.
-		_, _, saved, _, err = cpu.RunBatchSegment(ms, tr, windows, nil, true, false, positions)
-	} else {
-		ss := make([]*partialsim.Simulator, len(engines))
-		for k, e := range engines {
-			p := e.(*Partial)
-			p.s.SimulateProgramCache = p.HighFidelity
-			ss[k] = p.s
-		}
-		_, _, saved, _, err = partialsim.RunBatchSegment(ss, tr, windows, nil, true, false, positions)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return assemblePhased(s, metas, n, len(engines), snapsByPos(positions, saved), phaseLift(engines[0]))
 }

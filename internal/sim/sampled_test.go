@@ -26,7 +26,7 @@ func sampledTestEngines(t *testing.T, kind string, spaces []*mem.AddressSpace) [
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.HighFidelity = kind == "partial-hifi"
+			eng.Simulator().SimulateProgramCache = kind == "partial-hifi"
 			engines[i] = eng
 		}
 	}

@@ -102,7 +102,7 @@ func TestPartialResetReplaysIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh.HighFidelity = hf
+		fresh.Simulator().SimulateProgramCache = hf
 		want, err := fresh.Run(tr)
 		if err != nil {
 			t.Fatal(err)
@@ -113,7 +113,7 @@ func TestPartialResetReplaysIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dirty.HighFidelity = hf
+		dirty.Simulator().SimulateProgramCache = hf
 		if _, err := dirty.Run(tr); err != nil {
 			t.Fatal(err)
 		}
@@ -126,10 +126,10 @@ func TestPartialResetReplaysIdentically(t *testing.T) {
 		if reused != dirty {
 			t.Fatal("pool should have recycled the idle engine")
 		}
-		if reused.HighFidelity {
+		if reused.Simulator().SimulateProgramCache {
 			t.Fatal("Reset must clear HighFidelity, matching a fresh simulator")
 		}
-		reused.HighFidelity = hf
+		reused.Simulator().SimulateProgramCache = hf
 		got, err := reused.Run(tr)
 		if err != nil {
 			t.Fatal(err)

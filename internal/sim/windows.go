@@ -1,13 +1,9 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 
 	"mosaic/internal/ckpt"
-	"mosaic/internal/cpu"
-	"mosaic/internal/partialsim"
-	"mosaic/internal/pmu"
 	"mosaic/internal/trace"
 )
 
@@ -29,17 +25,17 @@ const DefaultWarmLen = 1 << 16
 //     *segments*: the first segment starts at position 0 on the caller's
 //     engines, and every other segment starts at a boundary whose MOSCKPT01
 //     checkpoint (all engines of the batch) was found in Store. Checkpoints
-//     carry cumulative clock and accumulator state, so the last segment's
-//     harvest is the whole-trace answer — bit-identical to unwindowed
-//     replay by construction, whatever subset of boundaries was cached.
-//     Segments snapshot the boundaries they run through and save them to
-//     Store, so a cold run (one sequential segment — plain fused replay
+//     carry cumulative clock and window-sum state, so results recorded in
+//     a later segment are whole-prefix answers — bit-identical to
+//     unwindowed replay by construction, whatever subset of boundaries was
+//     cached. Segments checkpoint the boundaries they run through and save
+//     them to Store, so a cold run (one sequential segment — plain RunBatch
 //     plus snapshot cost) makes every later run of the same sweep parallel.
 //
 //   - Warmup-reconstructed (Warm == true). All K chunks replay concurrently
 //     on freshly reset engines, each behind WarmLen accesses of functional
-//     warmup into its boundary (the sampling pipeline's warmRange), and the
-//     per-chunk counter deltas are summed. No checkpoints, no sequential
+//     warmup into its boundary, and the per-chunk counter deltas are
+//     summed. No checkpoints, no sequential
 //     cold run — but chunk-boundary state is reconstructed, not exact, so
 //     results inherit sampling's noise-envelope accuracy contract instead
 //     of bit-identity.
@@ -63,7 +59,8 @@ type Windowed struct {
 	Store *ckpt.Store
 	// Keys identifies each engine's checkpoint stream — one per engine,
 	// encoding everything state depends on (trace, platform, layout
-	// configuration, engine kind, fidelity, sampling plan). Positions are
+	// configuration, engine kind, fidelity, sampling plan, accounting
+	// generation). Positions are
 	// deliberately excluded: checkpoints are shared across K values.
 	Keys []string
 	// Pool supplies per-worker engine clones; nil builds throwaway engines.
@@ -77,338 +74,169 @@ type Windowed struct {
 // Enabled reports whether the config actually windows.
 func (w Windowed) Enabled() bool { return w.K > 1 }
 
-// segment is one worker's contiguous share of the replay schedule.
+// segment is one worker's contiguous share of a replay schedule, and what
+// the driver recorded for it.
 type segment struct {
-	first   bool // starts at trace position 0 on the caller's engines
-	windows []trace.Window
-	seeds   []*ckpt.MachineState // nil for cold (position-0) segments
-	savePos []int                // positions to snapshot, ascending
-	// persist flags which savePos entries are chunk boundaries to write to
-	// the checkpoint store; phase-attribution snapshots stay segment-local
-	// (they would be rewritten on every warm run otherwise). nil means all.
-	persist []bool
-}
-
-// addSavePos inserts a snapshot position, keeping savePos ascending and
-// deduplicated; a position serving both a chunk boundary and a phase
-// boundary keeps its persist flag.
-func (g *segment) addSavePos(pos int, persist bool) {
-	i := 0
-	for i < len(g.savePos) && g.savePos[i] < pos {
-		i++
-	}
-	if i < len(g.savePos) && g.savePos[i] == pos {
-		if persist {
-			g.persist[i] = true
-		}
-		return
-	}
-	g.savePos = append(g.savePos, 0)
-	copy(g.savePos[i+1:], g.savePos[i:])
-	g.savePos[i] = pos
-	g.persist = append(g.persist, false)
-	copy(g.persist[i+1:], g.persist[i:])
-	g.persist[i] = persist
-}
-
-// segOut is one segment's harvest, in unified Result form.
-type segOut struct {
-	ctrs     []Result
-	pro      []Result
-	saved    [][]*ckpt.MachineState
-	measured uint64
+	schedule
+	first bool                 // runs on the caller's engines from their current state
+	seeds []*ckpt.MachineState // nil for cold segments
+	lanes []lane
 }
 
 // RunBatchWindowed is RunBatch with parallel windowed replay. A disabled
-// config, a trace too small to chunk, or an engine set the segment kernels
-// cannot fuse falls back to RunBatch — results are identical either way
+// config or a trace too small to chunk replays as one segment on the
+// caller's engines — plain RunBatch. Results are identical either way
 // (bit-identical in exact mode).
 func RunBatchWindowed(engines []Engine, tr *trace.Trace, s Sampling, w Windowed) ([]Result, error) {
-	if !w.Enabled() || len(engines) == 0 {
-		return RunBatch(engines, tr, s)
-	}
 	// Multi-phase traces chunk over the phased schedule so no chunk window
 	// ever spans a phase boundary; under an exact plan the phased schedule
 	// covers the same accesses and the cut positions are identical to the
 	// phase-blind even split.
-	var chunks []trace.Chunk
-	if phases := tr.Phases(); phases != nil {
-		chunks = trace.WindowPlan{Windows: w.K}.ChunksFor(
-			s.Plan().PhasedWindows(phases, tr.Len()), !s.Enabled())
-	} else {
-		chunks = trace.WindowPlan{Windows: w.K}.Chunks(s.Plan(), tr.Len())
+	windows, spans := scheduleOf(tr, s)
+	chunks := []trace.Chunk{{Windows: windows}}
+	if w.Enabled() && len(windows) > 0 {
+		chunks = trace.WindowPlan{Windows: w.K}.ChunksFor(windows, !s.Enabled())
 	}
-	if len(chunks) < 2 {
-		return RunBatch(engines, tr, s)
+	if w.Warm && len(chunks) > 1 {
+		return runWindowedWarm(engines, tr, s, w, chunks, spans)
 	}
-
-	// The segment kernels fuse one engine kind; split mixed batches into
-	// homogeneous sub-batches and merge by original index.
-	fullIdx, partIdx, ok := splitKinds(engines)
-	if !ok {
-		return RunBatch(engines, tr, s)
-	}
-	if len(fullIdx) > 0 && len(partIdx) > 0 {
-		out := make([]Result, len(engines))
-		for _, idx := range [][]int{fullIdx, partIdx} {
-			sub := make([]Engine, len(idx))
-			sw := w
-			if len(w.Keys) == len(engines) {
-				sw.Keys = make([]string, len(idx))
-			} else {
-				sw.Keys = nil
-			}
-			for j, i := range idx {
-				sub[j] = engines[i]
-				if sw.Keys != nil {
-					sw.Keys[j] = w.Keys[i]
-				}
-			}
-			rs, err := RunBatchWindowed(sub, tr, s, sw)
-			if err != nil {
-				return nil, err
-			}
-			for j, i := range idx {
-				out[i] = rs[j]
-			}
-		}
-		return out, nil
-	}
-
-	if w.Warm {
-		return runWindowedWarm(engines, tr, s, w, chunks)
-	}
-	return runWindowedExact(engines, tr, s, w, chunks)
+	return runWindowedExact(engines, tr, s, w, chunks, spans)
 }
 
-// splitKinds classifies a batch; ok is false when an engine is neither
-// *Full nor *Partial (an external Engine implementation the segment
-// kernels cannot drive).
-func splitKinds(engines []Engine) (fullIdx, partIdx []int, ok bool) {
-	for i, e := range engines {
-		switch e.(type) {
-		case *Full:
-			fullIdx = append(fullIdx, i)
-		case *Partial:
-			partIdx = append(partIdx, i)
-		default:
-			return nil, nil, false
-		}
-	}
-	return fullIdx, partIdx, true
-}
-
-// runWindowedExact is exact mode: segments between cached boundaries, the
-// last segment's cumulative harvest as the answer, missing boundaries
-// snapshotted and saved for the next run.
-func runWindowedExact(engines []Engine, tr *trace.Trace, s Sampling, w Windowed, chunks []trace.Chunk) ([]Result, error) {
+// runWindowedExact is exact mode: segments between cached boundaries, each
+// recording the span marks it covers, missing boundaries checkpointed and
+// saved for the next run. Recorded results are cumulative — a seeded
+// segment resumes the whole prefix's counters — so assembling them is
+// bit-identical to one sequential pass.
+func runWindowedExact(engines []Engine, tr *trace.Trace, s Sampling, w Windowed, chunks []trace.Chunk, spans []span) ([]Result, error) {
 	useStore := w.Store != nil && len(w.Keys) == len(engines)
 
-	// A boundary is usable only when every engine of the batch has a valid
-	// checkpoint there — a partial set would split the batch's fusion.
-	// Unreadable files (truncated, stale, colliding) count as misses and
-	// are regenerated, mirroring the trace cache.
-	seeds := make([][]*ckpt.MachineState, len(chunks))
-	if useStore {
-		for ci := 1; ci < len(chunks); ci++ {
-			ss := make([]*ckpt.MachineState, len(engines))
-			ok := true
-			for k := range engines {
-				st, err := w.Store.Load(w.Keys[k], chunks[ci].Pos)
-				if err != nil || st == nil {
-					ok = false
-					break
-				}
-				ss[k] = st
-			}
-			if ok {
-				seeds[ci] = ss
+	segs := []segment{{first: true}}
+	for ci, c := range chunks {
+		cur := &segs[len(segs)-1]
+		if ci > 0 && useStore {
+			if seeds := loadSeeds(w.Store, w.Keys, c.Pos); seeds != nil {
+				segs = append(segs, segment{seeds: seeds})
+				cur = &segs[len(segs)-1]
+			} else {
+				cur.marks = addMark(cur.marks, c.Pos, true)
 			}
 		}
+		cur.windows = append(cur.windows, c.Windows...)
 	}
 
-	var segs []segment
-	cur := segment{first: true, windows: append([]trace.Window(nil), chunks[0].Windows...)}
-	for ci := 1; ci < len(chunks); ci++ {
-		if seeds[ci] != nil {
-			segs = append(segs, cur)
-			cur = segment{seeds: seeds[ci]}
-		} else if useStore {
-			cur.addSavePos(chunks[ci].Pos, true)
-		}
-		cur.windows = append(cur.windows, chunks[ci].Windows...)
-	}
-	segs = append(segs, cur)
-
-	// A multi-phase trace needs every engine snapshotted at each phase's
-	// prologue end and phase end; route each position into the segment
-	// whose window range covers it. A position that collides with a chunk
-	// boundary shares the boundary's snapshot.
-	phases := tr.Phases()
-	var metas []phaseMeta
-	if phases != nil {
-		var positions []int
-		metas, positions = phasedMeta(s.Plan(), phases, tr.Len())
-		for _, pos := range positions {
-			for si := range segs {
-				ws := segs[si].windows
-				if len(ws) > 0 && pos > ws[0].Lo && pos <= ws[len(ws)-1].Hi {
-					segs[si].addSavePos(pos, false)
-					break
-				}
+	// Route each span mark into the first segment that reaches it; a mark
+	// on a boundary between two segments is recorded at the end of the
+	// earlier one.
+	for _, m := range spanMarks(spans) {
+		si := 0
+		for si < len(segs)-1 {
+			ws := segs[si].windows
+			if m.pos <= ws[len(ws)-1].Hi {
+				break
 			}
+			si++
 		}
+		segs[si].marks = addMark(segs[si].marks, m.pos, false)
 	}
 
-	outs, err := runSegments(engines, tr, s, w, segs)
-	if err != nil {
+	if err := runSegments(engines, tr, w, segs); err != nil {
 		return nil, err
 	}
 
-	// Persist the chunk boundaries the segments ran through.
-	if useStore {
-		for si, seg := range segs {
-			for j, pos := range seg.savePos {
-				if !seg.persist[j] {
-					continue
-				}
-				snaps := outs[si].saved[j]
-				if snaps == nil {
-					continue
-				}
+	at := make(map[int][]Result)
+	for _, seg := range segs {
+		for j, m := range seg.marks {
+			if m.save {
 				for k := range engines {
-					if err := w.Store.Save(w.Keys[k], pos, snaps[k]); err != nil {
+					if err := w.Store.Save(w.Keys[k], m.pos, seg.lanes[k].saved[j]); err != nil {
 						return nil, err
 					}
 				}
 			}
 		}
+		collect(at, seg.marks, seg.lanes)
 	}
+	return assemble(s, tr, spans, len(engines), at)
+}
 
-	if phases != nil {
-		// Assemble per-phase attribution from the snapshots (a seeded
-		// segment's seed checkpoint is the cumulative state at its start
-		// position, covering phase boundaries that coincide with cached
-		// chunk boundaries).
-		snaps := make(map[int][]*ckpt.MachineState)
-		for si, seg := range segs {
-			if seg.seeds != nil && len(seg.windows) > 0 {
-				snaps[seg.windows[0].Lo] = seg.seeds
-			}
-			for j, pos := range seg.savePos {
-				if outs[si].saved != nil && outs[si].saved[j] != nil {
-					snaps[pos] = outs[si].saved[j]
-				}
-			}
+// loadSeeds loads every engine's checkpoint at pos. A boundary is usable
+// only when every engine of the batch has a valid checkpoint there — a
+// partial set would split the batch. Unreadable files (truncated, stale,
+// colliding) count as misses and are regenerated, mirroring the trace
+// cache.
+func loadSeeds(store *ckpt.Store, keys []string, pos int) []*ckpt.MachineState {
+	seeds := make([]*ckpt.MachineState, len(keys))
+	for k, key := range keys {
+		st, err := store.Load(key, pos)
+		if err != nil || st == nil {
+			return nil
 		}
-		return assemblePhased(s, metas, tr.Len(), len(engines), snaps, phaseLift(engines[0]))
+		seeds[k] = st
 	}
-
-	// Checkpoints are cumulative, so the last segment's harvest is the
-	// whole-trace totals; earlier segments exist to parallelize and to
-	// fill missing checkpoints.
-	final := outs[len(outs)-1].ctrs
-	if s.Enabled() {
-		var measured uint64
-		for _, o := range outs {
-			measured += o.measured
-		}
-		pro := outs[0].pro
-		proMeasured := uint64(s.Plan().PrologueMeasured(tr.Len()))
-		for i := range final {
-			final[i] = s.extrapolate(final[i], pro[i], proMeasured, measured, uint64(tr.Len()))
-		}
-	}
-	return final, nil
+	return seeds
 }
 
 // runWindowedWarm is warmup-reconstructed mode: every chunk replays
-// concurrently behind a private functional-warmup run-in, and the
-// per-chunk counter deltas are summed.
-func runWindowedWarm(engines []Engine, tr *trace.Trace, s Sampling, w Windowed, chunks []trace.Chunk) ([]Result, error) {
+// concurrently on reset engines behind a private functional-warmup run-in,
+// and the per-chunk counter deltas are summed.
+func runWindowedWarm(engines []Engine, tr *trace.Trace, s Sampling, w Windowed, chunks []trace.Chunk, spans []span) ([]Result, error) {
 	warmLen := w.WarmLen
 	if warmLen < 1 {
 		warmLen = DefaultWarmLen
 	}
 	segs := make([]segment, len(chunks))
 	for ci, c := range chunks {
-		seg := segment{first: ci == 0}
-		if ci > 0 {
-			lo := c.Pos - warmLen
-			if lo < 0 {
-				lo = 0
-			}
-			if lo < c.Pos {
-				seg.windows = append(seg.windows, trace.Window{Lo: lo, Hi: c.Pos})
-			}
+		seg := &segs[ci]
+		seg.first = ci == 0
+		if lo := max(c.Pos-warmLen, 0); ci > 0 && lo < c.Pos {
+			seg.windows = append(seg.windows, trace.Window{Lo: lo, Hi: c.Pos})
 		}
 		seg.windows = append(seg.windows, c.Windows...)
-		segs[ci] = seg
 	}
+	// The schedule's first measurement window — phase 0's prologue on a
+	// phased trace — is the prologue stratum; chunk 0 holds it whole.
+	segs[0].marks = []mark{{pos: spans[0].proHi}}
 
-	outs, err := runSegments(engines, tr, s, w, segs)
-	if err != nil {
+	if err := runSegments(engines, tr, w, segs); err != nil {
 		return nil, err
 	}
 
 	sum := make([]Result, len(engines))
-	var measured uint64
-	for _, o := range outs {
-		measured += o.measured
-		for i := range sum {
-			addCounters(&sum[i], o.ctrs[i])
+	for _, seg := range segs {
+		for k := range sum {
+			addCounters(&sum[k], seg.lanes[k].end)
 		}
 	}
 	if s.Enabled() {
-		pro := outs[0].pro
-		// For a phased trace the schedule's first measurement window is
-		// phase 0's prologue; warm mode replays the phased schedule (so
-		// coverage matches) but extrapolates globally and leaves
-		// Result.Phases nil — reconstructed boundary state cannot place
-		// exact counters at phase boundaries, and warm mode's contract is
-		// the sampling noise envelope, not bit-identity.
-		proMeasured := uint64(s.Plan().PrologueMeasured(tr.Len()))
-		if phases := tr.Phases(); phases != nil {
-			for _, ww := range s.Plan().PhasedWindows(phases, tr.Len()) {
-				if ww.Measure {
-					proMeasured = uint64(ww.Len())
-					break
-				}
-			}
+		// Warm mode extrapolates globally and leaves Result.Phases nil:
+		// reconstructed boundary state cannot place exact counters at phase
+		// boundaries, and its contract is the sampling noise envelope, not
+		// bit-identity.
+		var measured uint64
+		for _, sp := range spans {
+			measured += sp.measured
 		}
-		for i := range sum {
-			sum[i] = s.extrapolate(sum[i], pro[i], proMeasured, measured, uint64(tr.Len()))
+		for k := range sum {
+			sum[k] = s.extrapolate(sum[k], segs[0].lanes[k].marks[0],
+				spans[0].proMeasured, measured, uint64(tr.Len()))
 		}
 	}
 	return sum, nil
-}
-
-// addCounters accumulates src's counters into dst field-wise.
-func addCounters(dst *Result, src Result) {
-	d := counterPtrs(dst)
-	s := counterPtrs(&src)
-	for i := range d {
-		*d[i] += *s[i]
-	}
 }
 
 // runSegments replays the segments concurrently, bounded by w.Workers. The
 // first segment runs on the caller's engines; every other worker clones
 // its engines from w.Pool (sharing the caller's address spaces — no
 // SpaceCache traffic) and returns them before finishing.
-func runSegments(engines []Engine, tr *trace.Trace, s Sampling, w Windowed, segs []segment) ([]segOut, error) {
+func runSegments(engines []Engine, tr *trace.Trace, w Windowed, segs []segment) error {
+	if len(segs) == 1 {
+		return segs[0].run(engines, tr, w.Pool)
+	}
 	workers := w.Workers
 	if workers < 1 || workers > len(segs) {
 		workers = len(segs)
 	}
-	// The warm path forces window-delta stat accounting even for exact
-	// plans: a seeded-from-zero chunk must keep its private warmup run-in
-	// out of the component counters. Phased traces force it too — their
-	// phase-boundary snapshots need the component sums, and with full
-	// coverage the accounting is bit-identical to exact counters.
-	sampled := s.Enabled() || w.Warm || tr.Phases() != nil
-
-	outs := make([]segOut, len(segs))
 	errs := make([]error, len(segs))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
@@ -418,130 +246,46 @@ func runSegments(engines []Engine, tr *trace.Trace, s Sampling, w Windowed, segs
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			outs[si], errs[si] = runOneSegment(engines, tr, s, w, segs[si], sampled)
+			errs[si] = segs[si].run(engines, tr, w.Pool)
 		}(si)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return outs, nil
+	return nil
 }
 
-// runOneSegment drives the kind-specific segment kernel for one worker.
-func runOneSegment(engines []Engine, tr *trace.Trace, s Sampling, w Windowed, seg segment, sampled bool) (segOut, error) {
-	wantPro := seg.first && s.Enabled()
-	switch engines[0].(type) {
-	case *Full:
-		ms := make([]*cpu.Machine, len(engines))
-		var clones []Engine
-		for k, e := range engines {
-			f := e.(*Full)
-			if seg.first {
-				ms[k] = f.Machine()
-				continue
+// run replays the segment through the driver: on the caller's engines for
+// the first segment, on worker-private clones otherwise.
+func (g *segment) run(engines []Engine, tr *trace.Trace, pool *Pool) error {
+	if !g.first {
+		clones := make([]Engine, 0, len(engines))
+		defer func() {
+			if pool != nil {
+				for _, e := range clones {
+					pool.Put(e)
+				}
 			}
-			cf, err := cloneFull(w.Pool, f)
+		}()
+		for _, e := range engines {
+			c, err := e.clone(pool)
 			if err != nil {
-				releaseClones(w.Pool, clones)
-				return segOut{}, err
+				return err
 			}
-			clones = append(clones, cf)
-			ms[k] = cf.Machine()
+			clones = append(clones, c)
 		}
-		ctrs, pro, saved, measured, err := cpu.RunBatchSegment(ms, tr, seg.windows, seg.seeds, sampled, wantPro, seg.savePos)
-		releaseClones(w.Pool, clones)
-		if err != nil {
-			return segOut{}, err
-		}
-		return segOut{ctrs: liftCounters(ctrs), pro: liftCounters(pro), saved: saved, measured: measured}, nil
-	case *Partial:
-		ss := make([]*partialsim.Simulator, len(engines))
-		var clones []Engine
-		for k, e := range engines {
-			p := e.(*Partial)
-			if seg.first {
-				p.s.SimulateProgramCache = p.HighFidelity
-				ss[k] = p.s
-				continue
-			}
-			cp, err := clonePartial(w.Pool, p)
-			if err != nil {
-				releaseClones(w.Pool, clones)
-				return segOut{}, err
-			}
-			clones = append(clones, cp)
-			ss[k] = cp.s
-		}
-		ms, pro, saved, measured, err := partialsim.RunBatchSegment(ss, tr, seg.windows, seg.seeds, sampled, wantPro, seg.savePos)
-		releaseClones(w.Pool, clones)
-		if err != nil {
-			return segOut{}, err
-		}
-		return segOut{ctrs: liftMetrics(ms), pro: liftMetrics(pro), saved: saved, measured: measured}, nil
+		engines = clones
 	}
-	return segOut{}, fmt.Errorf("sim: unsupported engine kind in windowed replay")
-}
-
-// cloneFull acquires a worker-private full engine matching the original's
-// platform and address space.
-func cloneFull(pool *Pool, f *Full) (*Full, error) {
-	if pool == nil {
-		return NewFull(f.Platform(), f.Machine().Space())
-	}
-	return pool.Full(f.Platform(), f.Machine().Space())
-}
-
-// clonePartial acquires a worker-private partial engine matching the
-// original's platform, address space, and fidelity.
-func clonePartial(pool *Pool, p *Partial) (*Partial, error) {
-	var cp *Partial
-	var err error
-	if pool == nil {
-		cp, err = NewPartial(p.Platform(), p.s.Space())
-	} else {
-		cp, err = pool.Partial(p.Platform(), p.s.Space())
-	}
+	lanes, err := startLanes(engines, tr, g.seeds)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cp.HighFidelity = p.HighFidelity
-	cp.s.SimulateProgramCache = p.HighFidelity
-	return cp, nil
-}
-
-// releaseClones returns worker-private engines to the pool.
-func releaseClones(pool *Pool, clones []Engine) {
-	if pool == nil {
-		return
+	if err := drive(tr, lanes, g.schedule); err != nil {
+		return err
 	}
-	for _, e := range clones {
-		pool.Put(e)
-	}
-}
-
-// liftCounters wraps raw PMU counters in the unified result shape.
-func liftCounters(cs []pmu.Counters) []Result {
-	if cs == nil {
-		return nil
-	}
-	out := make([]Result, len(cs))
-	for i, c := range cs {
-		out[i] = Result{Counters: c}
-	}
-	return out
-}
-
-// liftMetrics wraps partial-simulator metrics in the unified result shape.
-func liftMetrics(ms []partialsim.Metrics) []Result {
-	if ms == nil {
-		return nil
-	}
-	out := make([]Result, len(ms))
-	for i, m := range ms {
-		out[i] = metricsResult(m)
-	}
-	return out
+	g.lanes = lanes
+	return nil
 }

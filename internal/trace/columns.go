@@ -7,7 +7,7 @@ import "mosaic/internal/mem"
 // access. It exists for replay throughput — a sweep streams the same trace
 // dozens of times, and the columnar layout cuts the bytes per access from
 // 16 (the padded Access struct) to ~12.3 while letting the fused replay
-// kernel (cpu.RunBatch) walk the address column sequentially.
+// driver (sim.RunBatch) walk the address column sequentially.
 //
 // A Columns value may be a view into a larger trace (see Slice): va and gap
 // are re-sliced directly, while the flag bitsets are shared whole and

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
+	"mosaic/internal/atomicfile"
 	"mosaic/internal/mem"
 )
 
@@ -501,47 +501,15 @@ func decodeBlock(payload []byte, cols *Columns, n int, scratch *v02Scratch) erro
 }
 
 // Save writes the trace to a file (in the current default format). The
-// write is atomic — a temp file in the target directory, synced, then
-// renamed over path — so an interrupted run never leaves a truncated
-// MOSTRC02 file behind to poison a trace cache: readers see either the old
-// complete file or the new complete file, never a prefix.
+// write is atomic (see internal/atomicfile), so an interrupted run never
+// leaves a truncated MOSTRC02 file behind to poison a trace cache: readers
+// see either the old complete file or the new complete file, never a
+// prefix.
 func (t *Trace) Save(path string) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
+	return atomicfile.Write(path, 0o644, func(w io.Writer) error {
+		_, err := t.WriteTo(w)
 		return err
-	}
-	tmp := f.Name()
-	cleanup := func() {
-		f.Close()
-		os.Remove(tmp)
-	}
-	if _, err := t.WriteTo(f); err != nil {
-		cleanup()
-		return err
-	}
-	// Sync before rename: a crash after the rename must not resurrect an
-	// empty file from an unflushed page cache.
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }
 
 // Load reads a trace from a file written by Save (either format).
